@@ -2,6 +2,7 @@ package notary
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,10 +13,11 @@ import (
 )
 
 // compatFixtureRecords builds the deterministic record stream behind the
-// recorded testdata/{snapshot,batch}_v1.bin fixtures. The fixtures were
-// written by the version-1 codecs (RECORD_COMPAT_FIXTURES=1 on the pre-bump
-// tree); regenerating them under a newer codec would defeat the point of the
-// compatibility tests, so the recorder test below is guarded.
+// recorded testdata/{snapshot,batch}_v<N>.bin fixtures. Each fixture was
+// written by the version-N codec (RECORD_COMPAT_FIXTURES=1 on a tree whose
+// codecs wrote version N); regenerating one under a newer codec would defeat
+// the point of the compatibility tests, so the recorder below is guarded and
+// never overwrites a recorded file.
 func compatFixtureRecords() []*Record {
 	rnd := rand.New(rand.NewSource(99))
 	all := registry.AllSuites()
@@ -34,28 +36,35 @@ func compatFixtureAggregate() *Aggregate {
 	return agg
 }
 
-// TestRecordCompatFixtures re-records the version-1 fixtures. It only runs
-// when RECORD_COMPAT_FIXTURES is set and exists so the recording procedure is
-// documented in code; running it on a post-bump tree would overwrite genuine
-// v1 bytes with current-version bytes.
+// TestRecordCompatFixtures records the fixtures for the codec versions this
+// build writes (snapshot_v<SnapshotVersion>.bin, batch_v<BatchVersion>.bin).
+// It only runs when RECORD_COMPAT_FIXTURES is set, and it skips any fixture
+// that already exists: recorded bytes pin what older builds wrote, so they
+// are never rewritten by a newer codec.
 func TestRecordCompatFixtures(t *testing.T) {
 	if os.Getenv("RECORD_COMPAT_FIXTURES") == "" {
-		t.Skip("set RECORD_COMPAT_FIXTURES=1 on a pre-bump tree to record")
+		t.Skip("set RECORD_COMPAT_FIXTURES=1 to record fixtures for the current codec versions")
 	}
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	snap := EncodeSnapshot(nil, compatFixtureAggregate())
-	if err := os.WriteFile(filepath.Join("testdata", "snapshot_v1.bin"), snap, 0o644); err != nil {
-		t.Fatal(err)
+	record := func(name string, b []byte) {
+		path := filepath.Join("testdata", name)
+		if _, err := os.Stat(path); err == nil {
+			t.Logf("%s already recorded; left untouched", path)
+			return
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	batch := EncodeBatch(compatFixtureRecords())
-	if err := os.WriteFile(filepath.Join("testdata", "batch_v1.bin"), batch, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	record(fmt.Sprintf("snapshot_v%d.bin", SnapshotVersion), EncodeSnapshot(nil, compatFixtureAggregate()))
+	record(fmt.Sprintf("batch_v%d.bin", BatchVersion), EncodeBatch(compatFixtureRecords()))
 }
 
-func readFixture(t *testing.T, name string) []byte {
+// readFixture loads a recorded fixture and checks that its version byte
+// matches the version in its name.
+func readFixture(t *testing.T, name string, version byte) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
@@ -64,8 +73,8 @@ func readFixture(t *testing.T, name string) []byte {
 	if len(b) < 5 {
 		t.Fatalf("fixture %s too short (%d bytes)", name, len(b))
 	}
-	if b[4] != 1 {
-		t.Fatalf("fixture %s carries version %d, want recorded version 1", name, b[4])
+	if b[4] != version {
+		t.Fatalf("fixture %s carries version %d, want recorded version %d", name, b[4], version)
 	}
 	return b
 }
@@ -75,7 +84,7 @@ func readFixture(t *testing.T, name string) []byte {
 // every pre-existing counter intact and the ByFingerprint/ByClientClass maps
 // empty — an upgrade must not force a re-ingest.
 func TestSnapshotV1Decodes(t *testing.T) {
-	got, err := DecodeSnapshot(readFixture(t, "snapshot_v1.bin"))
+	got, err := DecodeSnapshot(readFixture(t, "snapshot_v1.bin", 1))
 	if err != nil {
 		t.Fatalf("v1 snapshot rejected: %v", err)
 	}
@@ -107,7 +116,7 @@ func TestSnapshotV1Decodes(t *testing.T) {
 // reader; the record payload never changed, so ingesting it fills the new
 // attribution counters exactly as a live stream would.
 func TestBatchV1Decodes(t *testing.T) {
-	raw := readFixture(t, "batch_v1.bin")
+	raw := readFixture(t, "batch_v1.bin", 1)
 	got := NewAggregate()
 	frames, records, err := ReadBatches(bytes.NewReader(raw), got)
 	if err != nil {
@@ -126,14 +135,45 @@ func TestBatchV1Decodes(t *testing.T) {
 // still fail loudly — forward compatibility is an explicit error, never a
 // misdecode.
 func TestUnknownNewerVersionsRejected(t *testing.T) {
-	snap := append([]byte(nil), readFixture(t, "snapshot_v1.bin")...)
+	snap := append([]byte(nil), readFixture(t, "snapshot_v1.bin", 1)...)
 	snap[4] = SnapshotVersion + 1
 	if _, err := DecodeSnapshot(snap); err == nil {
 		t.Error("snapshot version beyond current accepted")
 	}
-	batch := append([]byte(nil), readFixture(t, "batch_v1.bin")...)
+	batch := append([]byte(nil), readFixture(t, "batch_v1.bin", 1)...)
 	batch[4] = BatchVersion + 1
 	if _, _, err := ReadBatches(bytes.NewReader(batch), NewAggregate()); err == nil {
 		t.Error("batch version beyond current accepted")
+	}
+}
+
+// TestSnapshotV2Pinned: the recorded version-2 snapshot decodes to the
+// replayed fixture aggregate and re-encodes to the identical bytes. A
+// round-trip test alone cannot see encoder and decoder being reordered
+// together; this fixture can, and such a reorder would silently misdecode
+// every v2 snapshot and federation delta already on disk.
+func TestSnapshotV2Pinned(t *testing.T) {
+	raw := readFixture(t, "snapshot_v2.bin", 2)
+	got, err := DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatalf("v2 snapshot rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, compatFixtureAggregate()) {
+		t.Fatal("v2 snapshot decode differs from replayed fixture records")
+	}
+	if !bytes.Equal(EncodeSnapshot(nil, got), raw) {
+		t.Fatal("v2 snapshot does not re-encode to its recorded bytes")
+	}
+}
+
+// TestBatchV2Decodes: the recorded version-2 batch stream ingests to the
+// replayed fixture aggregate.
+func TestBatchV2Decodes(t *testing.T) {
+	got := NewAggregate()
+	if _, _, err := ReadBatches(bytes.NewReader(readFixture(t, "batch_v2.bin", 2)), got); err != nil {
+		t.Fatalf("v2 batch rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, compatFixtureAggregate()) {
+		t.Fatal("v2 batch ingest differs from replayed fixture records")
 	}
 }
