@@ -239,11 +239,10 @@ func SpecByName(name string) (FigureSpec, bool) {
 // EvalFigure evaluates one spec against the frame: every metric expression
 // becomes a series with one point per month on the frame's axis. The
 // produced Series share the frame's month index, making Series.Value O(1).
-// Catalog specs evaluate through the frame's pre-compiled plans (no
-// per-call validation or selector resolution); a hand-built spec falls
-// back to the interpreter. EvalFigure panics on a spec whose expression
-// does not validate — specs are static data, so that is a programming
-// error, not an input error.
+// Catalog specs evaluate through the frame's pre-compiled plans; a
+// hand-built spec's expressions compile on the spot. EvalFigure panics on a
+// spec whose expression does not validate — specs are static data, so that
+// is a programming error, not an input error.
 func (f *Frame) EvalFigure(spec FigureSpec) Figure {
 	fig := Figure{
 		ID:     spec.ID,
@@ -252,16 +251,18 @@ func (f *Frame) EvalFigure(spec FigureSpec) Figure {
 		Events: attackEvents(spec.Events...),
 	}
 	for _, m := range spec.Metrics {
-		var vals []float64
-		if p := f.planFor(m.Expr); p != nil {
-			vals = p.EvalSeries()
-		} else {
+		p := f.planFor(m.Expr)
+		if p == nil {
 			var err error
-			vals, err = f.EvalSeries(m.Expr)
-			if err != nil {
+			if p, err = Compile(m.Expr, f); err != nil {
 				panic(fmt.Sprintf("analysis: figure %s metric %s: %v", spec.ID, m.Name, err))
 			}
 		}
+		if p.Kind() == KindScalar {
+			panic(fmt.Sprintf("analysis: figure %s metric %s: expression %s is a scalar, not a series",
+				spec.ID, m.Name, m.Expr))
+		}
+		vals := p.EvalSeries()
 		pts := make([]Point, len(vals))
 		for i, v := range vals {
 			pts[i] = Point{Month: f.Months[i], Value: v}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tlsage/internal/clientdb"
+	"tlsage/internal/notary"
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
 )
@@ -16,7 +17,9 @@ import (
 // figure catalog, the ad-hoc CLI/service queries and the impact metrics all
 // share. Unlike the closure-based evaluators it replaces, an Expr is pure
 // data: it marshals to JSON, round-trips through the compact text grammar
-// (ParseQuery / String) and is evaluated by one interpreter (Frame.Query).
+// (ParseQuery / String) and is evaluated by compiling it into a Plan. The
+// tree-walking interpreter below (Frame.Query, EvalSeries, EvalScalar) is
+// the reference the compiled plans are tested and fuzzed against.
 //
 // An expression has one of three kinds:
 //
@@ -99,42 +102,30 @@ func (e *Expr) Kind() Kind {
 // --- column vocabulary ---
 
 // namedColumns maps the canonical name of every plain frame column to its
-// accessor. Keyed counters (versions, classes, ...) go through the family
-// selectors instead.
-var namedColumns = map[string]func(*Frame) []int{
-	"total":              func(f *Frame) []int { return f.Total },
-	"established":        func(f *Frame) []int { return f.Established },
-	"fingerprints":       func(f *Frame) []int { return f.FPTotal },
-	"fp-conns":           func(f *Frame) []int { return f.FPConns },
-	"adv-rc4":            func(f *Frame) []int { return f.AdvRC4 },
-	"adv-des":            func(f *Frame) []int { return f.AdvDES },
-	"adv-3des":           func(f *Frame) []int { return f.Adv3DES },
-	"adv-aead":           func(f *Frame) []int { return f.AdvAEAD },
-	"adv-export":         func(f *Frame) []int { return f.AdvExport },
-	"adv-anon":           func(f *Frame) []int { return f.AdvAnon },
-	"adv-null":           func(f *Frame) []int { return f.AdvNULL },
-	"adv-aes128-gcm":     func(f *Frame) []int { return f.AdvAESGCM128 },
-	"adv-aes256-gcm":     func(f *Frame) []int { return f.AdvAESGCM256 },
-	"adv-chacha":         func(f *Frame) []int { return f.AdvChaCha },
-	"adv-ccm":            func(f *Frame) []int { return f.AdvCCM },
-	"adv-tls13":          func(f *Frame) []int { return f.AdvTLS13 },
-	"offers-heartbeat":   func(f *Frame) []int { return f.OffersHeartbeat },
-	"heartbeat-ack":      func(f *Frame) []int { return f.HeartbeatAck },
-	"null-negotiated":    func(f *Frame) []int { return f.NULLNegotiated },
-	"anon-negotiated":    func(f *Frame) []int { return f.AnonNegotiated },
-	"export-negotiated":  func(f *Frame) []int { return f.ExportNegotiated },
-	"unoffered-choice":   func(f *Frame) []int { return f.UnofferedChoice },
-	"sslv2-hellos":       func(f *Frame) []int { return f.SSLv2Hellos },
-	"fp-rc4":             func(f *Frame) []int { return f.FPRC4 },
-	"fp-des":             func(f *Frame) []int { return f.FPDES },
-	"fp-3des":            func(f *Frame) []int { return f.FP3DES },
-	"fp-aead":            func(f *Frame) []int { return f.FPAEAD },
-	"neg-aead":           func(f *Frame) []int { return f.NegAEAD },
-	"neg-aes128-gcm":     func(f *Frame) []int { return f.NegGCM128 },
-	"neg-aes256-gcm":     func(f *Frame) []int { return f.NegGCM256 },
-	"neg-chacha":         func(f *Frame) []int { return f.NegChaCha },
-	"kex-forward-secret": func(f *Frame) []int { return f.KexForwardSecret },
-}
+// accessor: one entry per notary.Counters row plus the denominators and the
+// columns the frame derives at build time. Keyed counters (versions,
+// classes, ...) go through the family selectors instead.
+var namedColumns = func() map[string]func(*Frame) []int {
+	m := map[string]func(*Frame) []int{
+		"total":              func(f *Frame) []int { return f.Total },
+		"established":        func(f *Frame) []int { return f.Established },
+		"fingerprints":       func(f *Frame) []int { return f.FPTotal },
+		"fp-conns":           func(f *Frame) []int { return f.FPConns },
+		"fp-rc4":             func(f *Frame) []int { return f.FPRC4 },
+		"fp-des":             func(f *Frame) []int { return f.FPDES },
+		"fp-3des":            func(f *Frame) []int { return f.FP3DES },
+		"fp-aead":            func(f *Frame) []int { return f.FPAEAD },
+		"neg-aead":           func(f *Frame) []int { return f.NegAEAD },
+		"neg-aes128-gcm":     func(f *Frame) []int { return f.NegGCM128 },
+		"neg-aes256-gcm":     func(f *Frame) []int { return f.NegGCM256 },
+		"neg-chacha":         func(f *Frame) []int { return f.NegChaCha },
+		"kex-forward-secret": func(f *Frame) []int { return f.KexForwardSecret },
+	}
+	for i, c := range notary.Counters {
+		m[c.Name] = func(f *Frame) []int { return f.Counts[i] }
+	}
+	return m
+}()
 
 // versionKeys maps canonical (and alias) version names to wire values. The
 // canonical form is the first spelling, e.g. "tls12".

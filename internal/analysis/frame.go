@@ -90,14 +90,9 @@ type Frame struct {
 	Extension    map[registry.ExtensionID][]int
 	TLS13Variant map[registry.Version][]int
 
-	// Client advertisement counters.
-	AdvRC4, AdvDES, Adv3DES, AdvAEAD               []int
-	AdvExport, AdvAnon, AdvNULL                    []int
-	AdvAESGCM128, AdvAESGCM256, AdvChaCha, AdvCCM  []int
-	AdvTLS13                                       []int
-	OffersHeartbeat, HeartbeatAck                  []int
-	NULLNegotiated, AnonNegotiated                 []int
-	ExportNegotiated, UnofferedChoice, SSLv2Hellos []int
+	// Counts holds one dense column per plain counter, indexed like
+	// notary.Counters (Counts[i] is the column named notary.Counters[i].Name).
+	Counts [][]int
 
 	// Figure 5 relative-position accumulators, per suite class.
 	PosSum   map[string][]float64
@@ -194,13 +189,7 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 		Extension:    make(map[registry.ExtensionID][]int),
 		TLS13Variant: make(map[registry.Version][]int),
 
-		AdvRC4: ints(), AdvDES: ints(), Adv3DES: ints(), AdvAEAD: ints(),
-		AdvExport: ints(), AdvAnon: ints(), AdvNULL: ints(),
-		AdvAESGCM128: ints(), AdvAESGCM256: ints(), AdvChaCha: ints(), AdvCCM: ints(),
-		AdvTLS13:        ints(),
-		OffersHeartbeat: ints(), HeartbeatAck: ints(),
-		NULLNegotiated: ints(), AnonNegotiated: ints(),
-		ExportNegotiated: ints(), UnofferedChoice: ints(), SSLv2Hellos: ints(),
+		Counts: make([][]int, len(notary.Counters)),
 
 		PosSum:   make(map[string][]float64),
 		PosCount: make(map[string][]int),
@@ -216,6 +205,11 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 		NegAEAD: ints(), NegGCM128: ints(), NegGCM256: ints(), NegChaCha: ints(),
 
 		KexForwardSecret: ints(),
+	}
+
+	counts := make([]int, len(notary.Counters)*n)
+	for j := range f.Counts {
+		f.Counts[j] = counts[j*n : (j+1)*n : (j+1)*n]
 	}
 
 	suiteClasses := make(map[uint16]negClass)
@@ -253,25 +247,9 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 			col(f.TLS13Variant, v, n)[i] = c
 		}
 
-		f.AdvRC4[i] = ms.AdvRC4
-		f.AdvDES[i] = ms.AdvDES
-		f.Adv3DES[i] = ms.Adv3DES
-		f.AdvAEAD[i] = ms.AdvAEAD
-		f.AdvExport[i] = ms.AdvExport
-		f.AdvAnon[i] = ms.AdvAnon
-		f.AdvNULL[i] = ms.AdvNULL
-		f.AdvAESGCM128[i] = ms.AdvAESGCM128
-		f.AdvAESGCM256[i] = ms.AdvAESGCM256
-		f.AdvChaCha[i] = ms.AdvChaCha
-		f.AdvCCM[i] = ms.AdvCCM
-		f.AdvTLS13[i] = ms.AdvTLS13
-		f.OffersHeartbeat[i] = ms.OffersHeartbeatN
-		f.HeartbeatAck[i] = ms.HeartbeatAckN
-		f.NULLNegotiated[i] = ms.NULLNegotiated
-		f.AnonNegotiated[i] = ms.AnonNegotiated
-		f.ExportNegotiated[i] = ms.ExportNegotiated
-		f.UnofferedChoice[i] = ms.UnofferedChoice
-		f.SSLv2Hellos[i] = ms.SSLv2Hellos
+		for j, c := range notary.Counters {
+			f.Counts[j][i] = *c.Field(ms)
+		}
 
 		for cl, s := range ms.PosSum {
 			c, ok := f.PosSum[cl]
@@ -462,8 +440,7 @@ func (f *Frame) sharedPlans() map[*Expr]*Plan {
 }
 
 // planFor returns the pre-compiled plan for one of the package's static
-// expressions, nil for a foreign expression (callers fall back to the
-// interpreter).
+// expressions, nil for a foreign expression.
 func (f *Frame) planFor(e *Expr) *Plan { return f.sharedPlans()[e] }
 
 // Len returns the number of months on the frame's axis.

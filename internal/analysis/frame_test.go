@@ -190,6 +190,29 @@ func TestFrameStalenessGeneration(t *testing.T) {
 	}
 }
 
+// TestFrameCounterColumns: every notary.Counters row is a listed named
+// column that reads the row's per-month counter.
+func TestFrameCounterColumns(t *testing.T) {
+	agg := sharedAgg(t)
+	f := sharedFrame(t)
+	listed := make(map[string]bool)
+	for _, n := range ColumnNames() {
+		listed[n] = true
+	}
+	for _, c := range notary.Counters {
+		if !listed[c.Name] {
+			t.Errorf("counter %q is not listed by ColumnNames", c.Name)
+			continue
+		}
+		col := namedColumns[c.Name](f)
+		for i, m := range f.Months {
+			if want := *c.Field(agg.Stats(m)); col[i] != want {
+				t.Fatalf("column %q at %v = %d, want %d", c.Name, m, col[i], want)
+			}
+		}
+	}
+}
+
 func TestCatalogLookups(t *testing.T) {
 	specs := Catalog()
 	if len(specs) != 12 {

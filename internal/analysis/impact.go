@@ -70,18 +70,12 @@ func AttackImpactsFrame(f *Frame) []AttackImpact {
 			}
 		}
 		imp := AttackImpact{Event: ev, Metric: im.metric}
-		if p := f.planFor(im.expr); p != nil {
-			// The compiled plan streams single rows, so reading the three
-			// sample months never materializes the full series.
-			imp.Before = p.seriesAt(before)
-			imp.After6 = p.seriesAt(after6)
-			imp.After12 = p.seriesAt(after12)
-		} else {
-			vals := f.evalSeries(im.expr)
-			imp.Before = vals[before]
-			imp.After6 = vals[after6]
-			imp.After12 = vals[after12]
-		}
+		// The compiled plan streams single rows, so reading the three
+		// sample months never materializes the full series.
+		p := f.planFor(im.expr)
+		imp.Before = p.seriesAt(before)
+		imp.After6 = p.seriesAt(after6)
+		imp.After12 = p.seriesAt(after12)
 		out = append(out, imp)
 	}
 	return out

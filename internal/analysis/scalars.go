@@ -74,14 +74,8 @@ var (
 )
 
 // scalarOf evaluates a static scalar expression through the frame's
-// pre-compiled plan, falling back to the interpreter for foreign
-// expressions.
-func (f *Frame) scalarOf(e *Expr) float64 {
-	if p := f.planFor(e); p != nil {
-		return p.EvalScalar()
-	}
-	return f.evalScalar(e)
-}
+// pre-compiled plan.
+func (f *Frame) scalarOf(e *Expr) float64 { return f.planFor(e).EvalScalar() }
 
 // PassiveScalarsFrame extracts the passive scalars from a frame snapshot.
 // Every value is the evaluation of a serializable query expression,

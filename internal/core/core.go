@@ -74,72 +74,9 @@ type Study struct {
 	cacheID    string
 	cacheEpoch uint64
 
-	// flightMu/flights singleflight concurrent misses for the same cache
-	// key: the first caller computes, later arrivals wait on done and share
-	// the published result, so a thundering dashboard compiles each query
-	// once per generation instead of once per client. Only cache-backed
-	// queries fly — without a cache there is no canonical key to rendezvous
-	// on.
-	flightMu sync.Mutex
-	flights  map[flightKey]*queryFlight
-	// compiles counts actual compile+evaluate computations (cache hits and
-	// flight followers excluded); tests pin singleflight against it.
+	// compiles counts the queries compiled against a frame (result-cache
+	// hits excluded); PlanCompiles reports it.
 	compiles atomic.Uint64
-	// testComputeHook, when non-nil (set by tests before any queries), runs
-	// at the start of every leader computation.
-	testComputeHook func()
-
-	// planMu guards the compiled-plan memo: plans keyed by (cache epoch,
-	// frame fingerprint, canonical query text), so a repeated ad-hoc query
-	// that misses the result cache — evicted entry, or no result cache at
-	// all — pays only evaluation while the frame is unchanged. A moving
-	// study changes the fingerprint with every merge, which makes stale
-	// plans (bound to the old frame's column slices) unreachable without an
-	// invalidation hook; the epoch keeps keys disjoint across Run/LoadLog
-	// swaps, whose rebuilt aggregate can collide on (generation, layout)
-	// with different contents. Entries age out FIFO past
-	// maxPlanMemoEntries.
-	planMu    sync.Mutex
-	planMemo  map[planKey]*analysis.Plan
-	planOrder []planKey
-	// planCompiles counts actual analysis.Compile calls (memo misses);
-	// the memo tests pin it. compiles above keeps its original meaning —
-	// compute runs, hit or miss in the plan memo — so the singleflight
-	// accounting is unchanged.
-	planCompiles atomic.Uint64
-}
-
-// maxPlanMemoEntries bounds the compiled-plan memo. Plans are small (a few
-// slices of frame-length ints, usually shared with the frame itself), so
-// the bound is about key churn on a moving study, not memory: each merge
-// changes the fingerprint and strands the previous generation's entries
-// until FIFO eviction reclaims them.
-const maxPlanMemoEntries = 256
-
-// planKey addresses one memoized plan.
-type planKey struct {
-	epoch       uint64
-	fingerprint uint64
-	query       string
-}
-
-// flightKey coordinates one in-flight computation; it mirrors the cache key
-// minus the study id (flights are per Study already).
-type flightKey struct {
-	epoch      uint64
-	generation uint64
-	query      string
-}
-
-// queryFlight is one in-progress query computation. done closes only after
-// res/body/gen/err are published, so waiters read them without locks.
-type queryFlight struct {
-	done    chan struct{}
-	waiters atomic.Int32
-	res     analysis.QueryResult
-	body    []byte
-	gen     uint64
-	err     error
 }
 
 // SetQueryCache attaches a (possibly shared) query result cache, with id
@@ -495,65 +432,31 @@ func (s *Study) frameWithEpoch() (*analysis.Frame, uint64, error) {
 // an entry exists for the study's current (epoch, generation) — without
 // touching the frame — and otherwise by compiling a plan against the
 // current frame, evaluating it, and caching the result (with its serialized
-// body) under coordinates read atomically with that frame. Concurrent
-// misses for the same key join one in-flight computation instead of each
-// compiling. A nil cache degrades to plain compile-and-evaluate.
+// body) under coordinates read atomically with that frame. A nil cache
+// degrades to plain compile-and-evaluate.
+//
+// Every miss compiles afresh: a compile costs about a microsecond, far below
+// the rest of a miss, and concurrent misses already share one frame build
+// through frameMu.
 func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
 	cache, id, epoch, gen, err := s.cacheCoords()
 	if err != nil {
 		return analysis.QueryResult{}, nil, 0, false, err
 	}
-	if cache == nil {
-		res, body, gen, err := s.computeQuery(e, nil, "", "")
-		return res, body, gen, false, err
-	}
-	key := e.String()
-	if res, body, hit := cache.Get(id, epoch, gen, key); hit {
-		return res, body, gen, true, nil
-	}
-	fk := flightKey{epoch, gen, key}
-	s.flightMu.Lock()
-	if f, ok := s.flights[fk]; ok {
-		f.waiters.Add(1)
-		s.flightMu.Unlock()
-		<-f.done
-		// A follower's answer came from shared work, so it reports as a
-		// cache hit: the query was compiled once for the whole flight.
-		return f.res, f.body, f.gen, f.err == nil, f.err
-	}
-	f := &queryFlight{done: make(chan struct{})}
-	if s.flights == nil {
-		s.flights = make(map[flightKey]*queryFlight)
-	}
-	s.flights[fk] = f
-	s.flightMu.Unlock()
-	f.res, f.body, f.gen, f.err = s.computeQuery(e, cache, id, key)
-	// Unregister before waking waiters, so a failed flight cannot capture
-	// callers that arrive after its error is already decided.
-	s.flightMu.Lock()
-	delete(s.flights, fk)
-	s.flightMu.Unlock()
-	close(f.done)
-	return f.res, f.body, f.gen, false, f.err
-}
-
-// computeQuery compiles and evaluates e against the current frame. With a
-// cache attached it also serializes the response body and stores both under
-// the frame's coordinates.
-func (s *Study) computeQuery(e *analysis.Expr, cache *analysis.QueryCache, id, key string) (analysis.QueryResult, []byte, uint64, error) {
-	if hook := s.testComputeHook; hook != nil {
-		hook()
+	var key string
+	if cache != nil {
+		key = e.String()
+		if res, body, hit := cache.Get(id, epoch, gen, key); hit {
+			return res, body, gen, true, nil
+		}
 	}
 	f, epoch, err := s.frameWithEpoch()
 	if err != nil {
-		return analysis.QueryResult{}, nil, 0, err
+		return analysis.QueryResult{}, nil, 0, false, err
 	}
-	if key == "" {
-		key = e.String() // cache-less path: canonicalize for the plan memo
-	}
-	p, err := s.compiledPlan(e, f, epoch, key)
+	p, err := analysis.Compile(e, f)
 	if err != nil {
-		return analysis.QueryResult{}, nil, 0, err
+		return analysis.QueryResult{}, nil, 0, false, err
 	}
 	s.compiles.Add(1)
 	res := p.Eval()
@@ -564,49 +467,12 @@ func (s *Study) computeQuery(e *analysis.Expr, cache *analysis.QueryCache, id, k
 		body, _ = res.EncodeJSONBody()
 		cache.Put(id, epoch, f.Generation(), key, res, body)
 	}
-	return res, body, f.Generation(), nil
+	return res, body, f.Generation(), false, nil
 }
 
-// compiledPlan returns a plan for e bound to f, from the memo when a valid
-// entry exists and by compiling (and memoizing) otherwise. The double
-// ValidFor check is belt and braces: the key's fingerprint already implies
-// validity, but a fingerprint collision across epochs is excluded by the
-// epoch and within an epoch by the monotone generation, so the check only
-// guards the invariant cheaply.
-func (s *Study) compiledPlan(e *analysis.Expr, f *analysis.Frame, epoch uint64, key string) (*analysis.Plan, error) {
-	pk := planKey{epoch: epoch, fingerprint: f.Fingerprint(), query: key}
-	s.planMu.Lock()
-	if p, ok := s.planMemo[pk]; ok && p.ValidFor(f) {
-		s.planMu.Unlock()
-		return p, nil
-	}
-	s.planMu.Unlock()
-	// Compile outside the lock: plans are immutable and a racing duplicate
-	// compile of the same key is only wasted work, never wrong.
-	p, err := analysis.Compile(e, f)
-	if err != nil {
-		return nil, err
-	}
-	s.planCompiles.Add(1)
-	s.planMu.Lock()
-	if _, dup := s.planMemo[pk]; !dup {
-		if s.planMemo == nil {
-			s.planMemo = make(map[planKey]*analysis.Plan)
-		}
-		for len(s.planOrder) >= maxPlanMemoEntries {
-			delete(s.planMemo, s.planOrder[0])
-			s.planOrder = s.planOrder[1:]
-		}
-		s.planMemo[pk] = p
-		s.planOrder = append(s.planOrder, pk)
-	}
-	s.planMu.Unlock()
-	return p, nil
-}
-
-// PlanCompiles reports how many times a query actually compiled (plan-memo
-// misses) — the observability hook the memo tests and benchmarks pin.
-func (s *Study) PlanCompiles() uint64 { return s.planCompiles.Load() }
+// PlanCompiles reports how many queries compiled a plan (result-cache misses
+// and cache-less queries) — the observability hook tests and benchmarks pin.
+func (s *Study) PlanCompiles() uint64 { return s.compiles.Load() }
 
 // Scalars returns the passive and fingerprint scalar findings. Both halves
 // are computed under one shared lock acquisition, so a live report never

@@ -680,7 +680,7 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 					t.Errorf("torn frame: %d records at generation %d", total, f.Generation())
 					return
 				}
-				if len(f.Established) != f.Len() || len(f.AdvRC4) != f.Len() {
+				if len(f.Established) != f.Len() || len(f.Counts[0]) != f.Len() {
 					t.Errorf("frame columns misaligned with month axis")
 					return
 				}

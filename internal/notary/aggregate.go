@@ -186,38 +186,10 @@ func (a *Aggregate) Add(r *Record) {
 	// list replaces the ~15 predicate rescans this block used to make.
 	suites := registry.StripGREASE16(r.ClientSuites)
 	scan := registry.ScanSuites(suites)
-	if scan.Bits.Has(registry.ClassRC4) {
-		ms.AdvRC4++
-	}
-	if scan.Bits.Has(registry.ClassDES) {
-		ms.AdvDES++
-	}
-	if scan.Bits.Has(registry.Class3DES) {
-		ms.Adv3DES++
-	}
-	if scan.Bits.Has(registry.ClassAEAD) {
-		ms.AdvAEAD++
-	}
-	if scan.Bits.Has(registry.ClassExport) {
-		ms.AdvExport++
-	}
-	if scan.Bits.Has(registry.ClassAnon) {
-		ms.AdvAnon++
-	}
-	if scan.Bits.Has(registry.ClassNULL) {
-		ms.AdvNULL++
-	}
-	if scan.Bits.Has(registry.ClassGCM128) {
-		ms.AdvAESGCM128++
-	}
-	if scan.Bits.Has(registry.ClassGCM256) {
-		ms.AdvAESGCM256++
-	}
-	if scan.Bits.Has(registry.ClassChaCha) {
-		ms.AdvChaCha++
-	}
-	if scan.Bits.Has(registry.ClassCCM) {
-		ms.AdvCCM++
+	for _, c := range Counters {
+		if scan.Bits.Has(c.Class) {
+			(*c.Field(ms))++
+		}
 	}
 	if r.SupportsTLS13() {
 		ms.AdvTLS13++
@@ -325,58 +297,20 @@ var positionClasses = []struct {
 func (ms *MonthStats) merge(o *MonthStats) {
 	ms.Total += o.Total
 	ms.Established += o.Established
-	for k, v := range o.ByVersion {
-		ms.ByVersion[k] += v
+	for _, c := range Counters {
+		*c.Field(ms) += *c.Field(o)
 	}
-	for k, v := range o.ByClass {
-		ms.ByClass[k] += v
-	}
-	for k, v := range o.ByKex {
-		ms.ByKex[k] += v
-	}
-	for k, v := range o.BySuite {
-		ms.BySuite[k] += v
-	}
-	for k, v := range o.ByCurve {
-		ms.ByCurve[k] += v
-	}
-	ms.AdvRC4 += o.AdvRC4
-	ms.AdvDES += o.AdvDES
-	ms.Adv3DES += o.Adv3DES
-	ms.AdvAEAD += o.AdvAEAD
-	ms.AdvExport += o.AdvExport
-	ms.AdvAnon += o.AdvAnon
-	ms.AdvNULL += o.AdvNULL
-	ms.AdvAESGCM128 += o.AdvAESGCM128
-	ms.AdvAESGCM256 += o.AdvAESGCM256
-	ms.AdvChaCha += o.AdvChaCha
-	ms.AdvCCM += o.AdvCCM
-	ms.AdvTLS13 += o.AdvTLS13
-	for k, v := range o.TLS13Variant {
-		ms.TLS13Variant[k] += v
-	}
-	for k, v := range o.ByExtension {
-		ms.ByExtension[k] += v
-	}
-	ms.OffersHeartbeatN += o.OffersHeartbeatN
-	ms.HeartbeatAckN += o.HeartbeatAckN
-	ms.NULLNegotiated += o.NULLNegotiated
-	ms.AnonNegotiated += o.AnonNegotiated
-	ms.ExportNegotiated += o.ExportNegotiated
-	ms.UnofferedChoice += o.UnofferedChoice
-	ms.SSLv2Hellos += o.SSLv2Hellos
-	for k, v := range o.PosSum {
-		ms.PosSum[k] += v
-	}
-	for k, v := range o.PosCount {
-		ms.PosCount[k] += v
-	}
-	for k, v := range o.ByFingerprint {
-		ms.ByFingerprint[k] += v
-	}
-	for k, v := range o.ByClientClass {
-		ms.ByClientClass[k] += v
-	}
+	addInto(ms.ByVersion, o.ByVersion)
+	addInto(ms.ByClass, o.ByClass)
+	addInto(ms.ByKex, o.ByKex)
+	addInto(ms.BySuite, o.BySuite)
+	addInto(ms.ByCurve, o.ByCurve)
+	addInto(ms.TLS13Variant, o.TLS13Variant)
+	addInto(ms.ByExtension, o.ByExtension)
+	addInto(ms.PosSum, o.PosSum)
+	addInto(ms.PosCount, o.PosCount)
+	addInto(ms.ByFingerprint, o.ByFingerprint)
+	addInto(ms.ByClientClass, o.ByClientClass)
 	for fp, oc := range o.FPs {
 		c, ok := ms.FPs[fp]
 		if !ok {
@@ -394,6 +328,13 @@ func (ms *MonthStats) merge(o *MonthStats) {
 		c.NULLc = c.NULLc || oc.NULLc
 		c.Anon = c.Anon || oc.Anon
 		c.Export = c.Export || oc.Export
+	}
+}
+
+// addInto adds every entry of src to dst.
+func addInto[K comparable, V int | float64](dst, src map[K]V) {
+	for k, v := range src {
+		dst[k] += v
 	}
 }
 

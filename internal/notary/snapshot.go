@@ -308,16 +308,8 @@ func appendMonthStats(dst []byte, ms *MonthStats) []byte {
 	dst = appendU16Map(dst, ms.ByCurve)
 	dst = appendU16Map(dst, ms.TLS13Variant)
 	dst = appendU16Map(dst, ms.ByExtension)
-	for _, v := range [...]int{
-		ms.AdvRC4, ms.AdvDES, ms.Adv3DES, ms.AdvAEAD,
-		ms.AdvExport, ms.AdvAnon, ms.AdvNULL,
-		ms.AdvAESGCM128, ms.AdvAESGCM256, ms.AdvChaCha, ms.AdvCCM,
-		ms.AdvTLS13,
-		ms.OffersHeartbeatN, ms.HeartbeatAckN,
-		ms.NULLNegotiated, ms.AnonNegotiated,
-		ms.ExportNegotiated, ms.UnofferedChoice, ms.SSLv2Hellos,
-	} {
-		dst = appendCount(dst, v)
+	for _, c := range Counters {
+		dst = appendCount(dst, *c.Field(ms))
 	}
 	dst = appendCount(dst, len(ms.PosSum))
 	for _, k := range sortedStringKeys(ms.PosSum) {
@@ -548,16 +540,8 @@ func decodeMonthStats(d *snapDecoder, version byte) *MonthStats {
 	ms.ByCurve = decodeU16Map[registry.CurveID](d, math.MaxUint16)
 	ms.TLS13Variant = decodeU16Map[registry.Version](d, math.MaxUint16)
 	ms.ByExtension = decodeU16Map[registry.ExtensionID](d, math.MaxUint16)
-	for _, p := range [...]*int{
-		&ms.AdvRC4, &ms.AdvDES, &ms.Adv3DES, &ms.AdvAEAD,
-		&ms.AdvExport, &ms.AdvAnon, &ms.AdvNULL,
-		&ms.AdvAESGCM128, &ms.AdvAESGCM256, &ms.AdvChaCha, &ms.AdvCCM,
-		&ms.AdvTLS13,
-		&ms.OffersHeartbeatN, &ms.HeartbeatAckN,
-		&ms.NULLNegotiated, &ms.AnonNegotiated,
-		&ms.ExportNegotiated, &ms.UnofferedChoice, &ms.SSLv2Hellos,
-	} {
-		*p = d.count()
+	for _, c := range Counters {
+		*c.Field(ms) = d.count()
 	}
 	nPos := d.length(9)
 	for i := 0; i < nPos && d.err == nil; i++ {
